@@ -5,7 +5,7 @@ under :class:`~repro.sim.churn.PoissonChurn`:
 
 * **chord** — the multi-hop baseline (`repro.baselines.chord`): O(log N)
   lookup hops, maintenance = stabilize + fix-fingers + pings.
-* **mesh** — the legacy soft-state detector (`repro.softstate.membership`):
+* **mesh** — a heartbeat failure detector (:class:`SoftMembership`):
   one-hop routing against a shared ring, but every node heartbeats every
   other node — O(N²) messages per period. Simulated only up to
   ``mesh_cap`` nodes (beyond that the mesh itself is the bottleneck);
@@ -36,11 +36,13 @@ from typing import Dict, List, Optional
 
 from repro.baselines.chord import ChordProtocol, chord_id
 from repro.common.hashing import KEYSPACE_SIZE
+from repro.common.ids import NodeId
+from repro.common.messages import Message, message_type
 from repro.sim.churn import PoissonChurn
 from repro.sim.cluster import Cluster
 from repro.sim.network import UniformLatency
+from repro.sim.node import Protocol
 from repro.sim.simulator import Simulation
-from repro.softstate.membership import SoftMembership
 from repro.softstate.onehop import OneHopRouting, RingSpace
 from repro.softstate.ring import ConsistentHashRing
 
@@ -253,6 +255,89 @@ def measure_onehop(
 
 
 # -- heartbeat mesh -----------------------------------------------------------
+
+
+@message_type
+@dataclass(frozen=True)
+class SoftHeartbeat(Message):
+    """One-way liveness announcement between ring members."""
+
+    epoch: int = 0  # boot counter; a rebooted peer announces a new epoch
+
+
+class SoftMembership(Protocol):
+    """Heartbeats among the ring members; updates shared ring aliveness.
+
+    Every member heartbeats every other member each period and flips the
+    shared ring's aliveness bits from what it hears, so a crash costs a
+    detection window of roughly ``suspect_timeout``.
+
+    Args:
+        ring: the coordinator ring (shared object).
+        heartbeat_period: seconds between announcements.
+        suspect_timeout: silence length after which a member is marked
+            not-alive (responsibility fails over to the next member).
+    """
+
+    name = "soft-membership"
+
+    def __init__(
+        self,
+        ring: ConsistentHashRing,
+        heartbeat_period: float = 1.0,
+        suspect_timeout: float = 3.5,
+    ):
+        super().__init__()
+        if suspect_timeout <= heartbeat_period:
+            raise ValueError("suspect_timeout must exceed heartbeat_period")
+        self.ring = ring
+        self.heartbeat_period = heartbeat_period
+        self.suspect_timeout = suspect_timeout
+        self._last_seen: Dict[NodeId, float] = {}
+        self._epoch = 0
+        self._timer = None
+
+    def on_start(self) -> None:
+        self._last_seen = {}
+        self._epoch += 1
+        self._timer = self.every(self.heartbeat_period, self._beat, jitter=0.2)
+
+    def on_stop(self) -> None:
+        if self._timer is not None:
+            self._timer.stop()
+
+    def _peers(self):
+        return [m for m in self.ring.members() if m != self.host.node_id]
+
+    def _beat(self) -> None:
+        beat = SoftHeartbeat(self._epoch)
+        for peer in self._peers():
+            self.send(peer, beat)
+        self.host.metrics.counter("softmembership.heartbeats").inc(len(self._peers()))
+        self._review()
+        # we are obviously alive; make sure the shared ring agrees
+        self.ring.set_alive(self.host.node_id, True)
+
+    def _review(self) -> None:
+        horizon = self.host.now - self.suspect_timeout
+        for peer in self._peers():
+            seen = self._last_seen.get(peer)
+            if seen is None:
+                # never heard from it since our boot: give it one full
+                # timeout from our start before judging
+                self._last_seen[peer] = self.host.now
+                continue
+            alive = seen >= horizon
+            self.ring.set_alive(peer, alive)
+            if not alive:
+                self.host.metrics.counter("softmembership.suspicions").inc()
+
+    def on_message(self, sender: NodeId, message: Message) -> None:
+        if not isinstance(message, SoftHeartbeat):
+            self.host.metrics.counter("softmembership.unexpected_message").inc()
+            return
+        self._last_seen[sender] = self.host.now
+        self.ring.set_alive(sender, True)
 
 
 def measure_mesh(

@@ -57,9 +57,6 @@ class DataDropletsConfig:
 
     # dissemination
     fanout_c: float = 2.0  # adaptive fanout = ceil(ln N_est) + c
-    fixed_fanout: Optional[int] = None  # overrides adaptive when set
-    gossip_mode: str = "infect-and-die"
-    lazy_gossip: bool = False
 
     # network model
     latency_low: float = 0.005
@@ -80,10 +77,6 @@ class DataDropletsConfig:
     # ordered overlays
     tman_view: int = 8
     tman_period: float = 1.0
-    # one shared gossip stream for all index orderings instead of one
-    # T-Man instance per attribute (the scalable design of §III-B2 /
-    # experiment E10); scan behaviour is identical.
-    shared_overlays: bool = False
 
     # redundancy maintenance
     repair: RepairPolicy = field(default_factory=RepairPolicy)
@@ -118,15 +111,20 @@ class DataDropletsConfig:
     # soft layer
     soft: SoftStateConfig = field(default_factory=SoftStateConfig)
     virtual_nodes: int = 16
-    # When True the soft layer runs its own heartbeat failure detector
-    # (repro.softstate.membership) and the facade stops updating ring
-    # aliveness omnisciently; failover then costs a detection window.
-    soft_failure_detection: bool = False
-    # "legacy": one shared ring, aliveness from the facade oracle or the
-    # O(N²) heartbeat mesh above. "onehop": every soft node keeps a full
-    # routing table fed by epidemically disseminated membership events
+    # "legacy": one shared ring whose aliveness the facade sets from
+    # ground truth. "onehop": every soft node keeps a full routing table
+    # fed by epidemically disseminated membership events
     # (repro.softstate.onehop) and misrouted ops are redirected to the
     # believed owner instead of erroring (probe-and-redirect).
+    # Why "legacy" stays the default: with "onehop" as default,
+    # `repro check --seeds 25 --quick --no-shrink` failed 10 of 25 seeds
+    # (57 version_monotonicity and 2 no_lost_writes violations) and
+    # `repro check --nemesis corruption --seeds 10 --quick --no-shrink`
+    # failed 10 of 10 (65 version_monotonicity), e.g. item:0 acked at
+    # v(1, coordinator 16) after v(2, coordinator 17). A soft node wrongly
+    # suspected under loss hands its keys to a coordinator with no version
+    # history, so the soft layer no longer orders writes (claim C10).
+    # Fix that before flipping the default.
     routing_mode: str = "legacy"
     onehop_quarantine_window: float = 10.0
 
@@ -160,10 +158,30 @@ class DataDropletsConfig:
                 raise ConfigurationError(
                     "collocation must be None, 'prefix' or 'field:<name>'"
                 )
-        if self.fixed_fanout is not None and self.fixed_fanout <= 0:
-            raise ConfigurationError("fixed_fanout must be positive when set")
-        if self.gossip_mode not in ("infect-and-die", "infect-forever"):
-            raise ConfigurationError(f"unknown gossip_mode {self.gossip_mode!r}")
+        positive = {
+            "membership_period": self.membership_period,
+            "size_estimator_period": self.size_estimator_period,
+            "pushsum_period": self.pushsum_period,
+            "tman_period": self.tman_period,
+            "repair_period": self.repair_period,
+            "audit_period": self.audit_period,
+            "client_timeout": self.client_timeout,
+            "view_size": self.view_size,
+            "shuffle_size": self.shuffle_size,
+            "tman_view": self.tman_view,
+            "virtual_nodes": self.virtual_nodes,
+        }
+        for name, value in positive.items():
+            if value <= 0:
+                raise ConfigurationError(f"{name} must be positive")
+        if self.estimator_epoch is not None and self.estimator_epoch <= 0:
+            raise ConfigurationError("estimator_epoch must be positive when set")
+        if self.shuffle_size > self.view_size:
+            raise ConfigurationError("shuffle_size cannot exceed view_size")
+        if self.size_estimator_k < 3:
+            raise ConfigurationError("size_estimator_k must be >= 3")
+        if self.client_retries < 0:
+            raise ConfigurationError("client_retries must be >= 0")
         if self.routing_mode not in ("legacy", "onehop"):
             raise ConfigurationError(f"unknown routing_mode {self.routing_mode!r}")
         if self.redundancy_mode not in ("static", "adaptive"):
@@ -180,8 +198,6 @@ class DataDropletsConfig:
             raise ConfigurationError("adaptive_min_deaths must be positive")
         if self.onehop_quarantine_window < 0:
             raise ConfigurationError("onehop_quarantine_window must be >= 0")
-        if self.audit_period <= 0:
-            raise ConfigurationError("audit_period must be positive")
         seen = set()
         for index in self.indexes:
             if index.attribute in seen:

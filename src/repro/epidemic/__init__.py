@@ -21,12 +21,6 @@ from repro.epidemic.analysis import (
     messages_per_broadcast,
     replica_success_probability,
 )
-from repro.epidemic.bimodal import (
-    BimodalMulticast,
-    PbcastData,
-    PbcastDigest,
-    PbcastSolicit,
-)
 from repro.epidemic.antientropy import (
     AntiEntropy,
     AntiEntropyStore,
@@ -44,10 +38,6 @@ from repro.epidemic.lazy import Advertisement, LazyGossip, PullReply, PullReques
 
 __all__ = [
     "Advertisement",
-    "BimodalMulticast",
-    "PbcastData",
-    "PbcastDigest",
-    "PbcastSolicit",
     "AntiEntropy",
     "AntiEntropyStore",
     "BucketDigestMessage",

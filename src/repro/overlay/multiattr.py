@@ -210,17 +210,3 @@ class SharedMultiOverlay(Protocol):
         if greater:
             return greater[0]
         return neighbors[0] if neighbors else None
-
-    def closest_to(self, attribute: str, coordinate: float, count: int = 1) -> List[TManDescriptor]:
-        """View entries nearest a coordinate on one attribute's ring —
-        the greedy-routing primitive range scans use."""
-        neighbors = self.ordered_neighbors(attribute)
-        ranked = sorted(
-            neighbors,
-            key=lambda d: (ring_distance(coordinate, d.coordinate), d.node_id.value),
-        )
-        return ranked[:count]
-
-    def view_for(self, attribute: str) -> List[TManDescriptor]:
-        """Alias for ordered_neighbors (TManProtocol.view() parity)."""
-        return self.ordered_neighbors(attribute)

@@ -3,14 +3,14 @@
 Every node keeps a *full* routing table — node → ring position,
 aliveness, incarnation — so a coordinator lookup is one table read plus
 one network hop. The table is kept fresh not by heartbeating everyone
-(the O(N²) mesh of :mod:`repro.softstate.membership`) but by membership
-**events** (join / recover / suspect / dead) riding the epidemic
-substrate: each node buffers fresh events and periodically relays the
-batch to ``fanout`` random alive peers, infect-and-die per event (a
-relayed event that is no longer news dies at the receiver). That is the
-EDRA idea from Monnerat & Amorim's single-hop DHT, with aggregation —
-event cost per node is O(fanout) messages per flush period regardless
-of how many events ride each message.
+(the O(N²) mesh of :class:`repro.baselines.routebench.SoftMembership`)
+but by membership **events** (join / recover / suspect / dead) riding
+the epidemic substrate: each node buffers fresh events and periodically
+relays the batch to ``fanout`` random alive peers, infect-and-die per
+event (a relayed event that is no longer news dies at the receiver).
+That is the EDRA idea from Monnerat & Amorim's single-hop DHT, with
+aggregation — event cost per node is O(fanout) messages per flush period
+regardless of how many events ride each message.
 
 Three auxiliary mechanisms make the table dependable:
 

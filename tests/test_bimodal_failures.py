@@ -1,11 +1,7 @@
-"""Tests for Bimodal Multicast and the hardware failure models."""
-
-import math
+"""Tests for the hardware failure models."""
 
 import pytest
 
-from repro.epidemic import BimodalMulticast, EagerGossip
-from repro.membership import CyclonProtocol
 from repro.sim import Cluster, PoissonChurn, Simulation, UniformLatency
 from repro.workloads import (
     COMMODITY_2011,
@@ -14,81 +10,6 @@ from repro.workloads import (
     accelerated,
 )
 from repro.workloads.failures import SECONDS_PER_YEAR
-
-from tests.conftest import build_connected
-
-
-def _pbcast_cluster(n=100, seed=121, fanout=3, digest_period=1.0):
-    sim = Simulation(seed=seed)
-    cluster = Cluster(sim, latency=UniformLatency(0.005, 0.02))
-    factory = lambda node: [
-        CyclonProtocol(view_size=10, shuffle_size=5, period=1.0),
-        BimodalMulticast(fanout=fanout, digest_period=digest_period),
-    ]
-    nodes = build_connected(sim, cluster, n, factory, warmup=12.0)
-    return sim, cluster, nodes
-
-
-class TestBimodalMulticast:
-    def test_subcritical_fanout_still_reaches_everyone(self):
-        # fanout 3 alone covers ~94%; the digest phase closes the gap
-        sim, cluster, nodes = _pbcast_cluster(fanout=3)
-        nodes[0].protocol("gossip").broadcast("item", {"v": 1})
-        sim.run_for(25.0)  # a few digest rounds
-        reached = sum(1 for n in nodes if n.protocol("gossip").has_seen("item"))
-        assert reached == len(nodes)
-
-    def test_eager_alone_would_miss_some(self):
-        # control: the same fanout without the pessimistic phase
-        sim = Simulation(seed=121)
-        cluster = Cluster(sim, latency=UniformLatency(0.005, 0.02))
-        factory = lambda node: [
-            CyclonProtocol(view_size=10, shuffle_size=5, period=1.0),
-            EagerGossip(fanout=3),
-        ]
-        nodes = build_connected(sim, cluster, 100, factory, warmup=12.0)
-        missed = 0
-        for i in range(5):
-            nodes[i].protocol("gossip").broadcast(f"b{i}", i)
-            sim.run_for(8.0)
-            missed += sum(1 for n in nodes if not n.protocol("gossip").has_seen(f"b{i}"))
-        assert missed > 0  # fanout 3 is sub-atomic without repair
-
-    def test_solicited_retransmissions_counted(self):
-        sim, cluster, nodes = _pbcast_cluster(fanout=2, digest_period=0.5)
-        nodes[0].protocol("gossip").broadcast("needy", 1)
-        sim.run_for(20.0)
-        assert cluster.metrics.counter_value("pbcast.solicits") > 0
-        assert cluster.metrics.counter_value("pbcast.digests") > 0
-
-    def test_subscribers_called_once(self):
-        sim, cluster, nodes = _pbcast_cluster(n=30)
-        seen = []
-        nodes[3].protocol("gossip").subscribe(lambda i, p, h: seen.append(i))
-        nodes[0].protocol("gossip").broadcast("x", 1)
-        sim.run_for(20.0)
-        assert seen.count("x") == 1
-
-    def test_horizon_bounds_digest_size(self):
-        sim, cluster, nodes = _pbcast_cluster(n=10)
-        gossip = nodes[0].protocol("gossip")
-        for i in range(50):
-            gossip.broadcast(f"i{i}", i)
-        assert len(gossip._recent) <= 256
-
-    def test_survives_churn(self):
-        sim, cluster, nodes = _pbcast_cluster(n=60, fanout=3)
-        churn = PoissonChurn(sim, cluster, event_rate=0.5, mean_downtime=5.0)
-        churn.start()
-        nodes[0].protocol("gossip").broadcast("robust", 1)
-        sim.run_for(40.0)
-        churn.stop()
-        sim.run_for(20.0)
-        up = [n for n in nodes if n.is_up]
-        reached = sum(1 for n in up if n.protocol("gossip").has_seen("robust"))
-        # nodes that were down during both phases may miss it; nearly all
-        # survivors have it
-        assert reached >= len(up) - 3
 
 
 class TestHardwareProfiles:

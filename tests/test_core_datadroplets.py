@@ -136,9 +136,26 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             DataDropletsConfig(n_storage=0)
 
-    def test_rejects_bad_gossip_mode(self):
-        with pytest.raises(ConfigurationError):
-            DataDropletsConfig(gossip_mode="magic")
+    @pytest.mark.parametrize("field, value", [
+        ("membership_period", 0),
+        ("size_estimator_period", 0),
+        ("pushsum_period", -1.0),
+        ("tman_period", 0),
+        ("repair_period", 0),
+        ("audit_period", 0),
+        ("estimator_epoch", 0),
+        ("client_timeout", 0),
+        ("client_retries", -1),
+        ("view_size", 0),
+        ("shuffle_size", 0),
+        ("shuffle_size", 17),  # above the default view_size of 16
+        ("tman_view", 0),
+        ("virtual_nodes", 0),
+        ("size_estimator_k", 2),
+    ])
+    def test_rejects_bad_values_at_construction(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            DataDropletsConfig(**{field: value})
 
     def test_repair_target_follows_replication(self):
         config = DataDropletsConfig(replication=7).with_replication_target()

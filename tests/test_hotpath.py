@@ -17,21 +17,19 @@ import pytest
 
 # Import every module that registers message types so the registry is full.
 import repro.baselines.chord  # noqa: F401
+import repro.baselines.routebench  # noqa: F401
 import repro.baselines.dht  # noqa: F401
 import repro.epidemic.antientropy  # noqa: F401
-import repro.epidemic.bimodal  # noqa: F401
 import repro.epidemic.eager  # noqa: F401
 import repro.epidemic.lazy  # noqa: F401
 import repro.estimation.extrema  # noqa: F401
 import repro.estimation.histogram  # noqa: F401
 import repro.estimation.pushsum  # noqa: F401
 import repro.membership.cyclon  # noqa: F401
-import repro.membership.newscast  # noqa: F401
 import repro.overlay.multiattr  # noqa: F401
 import repro.overlay.tman  # noqa: F401
 import repro.randomwalk.walker  # noqa: F401
 import repro.softstate.coordinator  # noqa: F401
-import repro.softstate.membership  # noqa: F401
 import repro.softstate.messages  # noqa: F401
 from repro.common.ids import NodeId
 from repro.common.messages import (

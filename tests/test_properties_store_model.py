@@ -11,6 +11,7 @@ disjoint* partition of the key space.
 
 from __future__ import annotations
 
+import bisect
 from typing import Dict, Optional
 
 from hypothesis import given, settings
@@ -139,10 +140,17 @@ class TestSieveFamilies:
         sieve = BucketSieve(NodeId(1), r, lambda: estimate)
         owner = sieve.item_bucket(key, {})
         assert 0 <= owner < buckets
-        arcs = [StaticArcSieve(i / buckets, (i + 1) / buckets)
-                for i in range(buckets)]
-        admitting = [i for i, arc in enumerate(arcs) if arc.admits(key, {})]
-        assert admitting == [owner]
+        owner_arc = StaticArcSieve(owner / buckets, (owner + 1) / buckets)
+        assert owner_arc.admits(key, {})
+        # Exhaustive over all B arcs [i/B, (i+1)/B) without building B
+        # sieves (B reaches 65,536): both ends rise with i, so the arcs
+        # holding the key are those starting at or before it minus those
+        # ending at or before it — two bisections of one boundary array.
+        coord = owner_arc.key_fn(key, {}) % 1.0
+        bounds = [i / buckets for i in range(buckets + 1)]
+        started = bisect.bisect_right(bounds, coord, 0, buckets)
+        ended = bisect.bisect_right(bounds, coord, 1, buckets + 1) - 1
+        assert list(range(ended, started)) == [owner]
 
     @given(node_ids, node_ids, estimates, replications, free_keys)
     @settings(max_examples=150)
